@@ -80,6 +80,41 @@ def bench_register_chain_updates(benchmark):
     benchmark(run)
 
 
+@pytest.mark.parametrize("n_rows", [4_000, 40_000])
+@pytest.mark.parametrize("shape", ["1col", "2x32bit", "3col_over64bit"])
+def bench_group_keys(benchmark, n_rows, shape):
+    """Packed-key grouping kernel (switch reduce/distinct, analytics, SP).
+
+    ``3col_over64bit`` is an (sIP, dIP, dport) key: 80 bits, so the packed
+    (sIP, dIP) prefix is densified before the port is packed.
+    """
+    import numpy as np
+
+    from repro.exec import ColumnarState, group_keys
+
+    rng = np.random.default_rng(5)
+    n_keys = n_rows // 8  # ~8 packets per key, like a window's flows
+
+    def draw(high):
+        return rng.integers(0, high, n_keys, dtype=np.int64)[
+            rng.integers(0, n_keys, n_rows)
+        ]
+
+    columns = {
+        "1col": {"ipv4.dIP": draw(2**32)},
+        "2x32bit": {"ipv4.sIP": draw(2**32), "ipv4.dIP": draw(2**32)},
+        "3col_over64bit": {
+            "ipv4.sIP": draw(2**32),
+            "ipv4.dIP": draw(2**32),
+            "tcp.dport": draw(2**16),
+        },
+    }[shape]
+    state = ColumnarState(columns=columns)
+    unique, inverse = benchmark(group_keys, state, tuple(columns))
+    assert len(inverse) == n_rows
+    assert 0 < len(next(iter(unique.values()))) <= n_rows
+
+
 def bench_stable_hash(benchmark):
     benchmark(lambda: [stable_hash((i, i * 7), seed=3) for i in range(1_000)])
 

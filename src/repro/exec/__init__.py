@@ -31,6 +31,7 @@ from repro.exec.kernels import (
     filter_mask,
     group_first_occurrence,
     group_keys,
+    group_rows,
     materialize_keys,
     predicate_mask,
     reduce_args,
@@ -55,6 +56,7 @@ __all__ = [
     "apply_filter",
     "eval_expression",
     "apply_map",
+    "group_rows",
     "group_keys",
     "group_first_occurrence",
     "apply_reduce",

@@ -11,7 +11,7 @@ Python values the row-wise engines produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -47,6 +47,13 @@ class ColumnarState:
             vocabs=self.vocabs,
             payloads=self.payloads,
         )
+
+    def project(self, names: "Iterable[str]") -> "ColumnarState":
+        """Keep only the named columns that exist (all of them if none do)."""
+        columns = {n: self.columns[n] for n in names if n in self.columns}
+        if not columns:
+            return self
+        return ColumnarState(columns=columns, vocabs=self.vocabs, payloads=self.payloads)
 
     @staticmethod
     def from_trace(trace: "Trace", registry: FieldRegistry = FIELDS) -> "ColumnarState":

@@ -133,20 +133,106 @@ def apply_map(op: Map, state: ColumnarState) -> ColumnarState:
     return ColumnarState(columns=columns, vocabs=vocabs, payloads=state.payloads)
 
 
+def _dense_ids(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort-group one uint64 column: ``(order, run_starts, inverse)``.
+
+    ``inverse`` numbers the groups in ascending key order. The sort may be
+    unstable: rows with equal keys are interchangeable, and each group's
+    first row is recovered with a minimum over its run, not by position.
+    """
+    order = np.argsort(packed)
+    ordered = packed[order]
+    is_start = np.empty(len(ordered), dtype=bool)
+    is_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=is_start[1:])
+    inverse = np.empty(len(ordered), dtype=np.int64)
+    inverse[order] = np.cumsum(is_start) - 1
+    return order, np.flatnonzero(is_start), inverse
+
+
+def _pack_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Pack int64 key columns into one order-preserving uint64 column.
+
+    Each column is offset by its minimum and takes ``(max - min)
+    .bit_length()`` bits, the first column in the most significant bits,
+    so packed order is lexicographic row order. When the next column does
+    not fit, the packed prefix is replaced by its dense group id (at most
+    ``bit_length(n_rows)`` bits, order kept) and packing goes on; a column
+    that still does not fit is replaced by its own dense id as well.
+    """
+    packed = np.zeros(len(columns[0]), dtype=np.uint64)
+    used = 0
+    for column in columns:
+        lo = int(column.min())
+        width = (int(column.max()) - lo).bit_length()
+        # uint64 wrap-around keeps the offset exact for any int64 span.
+        offset = column.astype(np.uint64) - np.uint64(lo & 0xFFFF_FFFF_FFFF_FFFF)
+        if used + width > 64:
+            _, starts, ids = _dense_ids(packed)
+            packed = ids.astype(np.uint64)
+            used = (len(starts) - 1).bit_length()
+            if used + width > 64:
+                _, starts, ids = _dense_ids(offset)
+                offset = ids.astype(np.uint64)
+                width = (len(starts) - 1).bit_length()
+        if used:
+            packed <<= np.uint64(width)
+            packed |= offset
+        else:
+            packed = offset
+        used += width
+    return packed
+
+
+def group_rows(
+    columns: Sequence[np.ndarray], first_occurrence: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by int64 key columns: the one grouping kernel.
+
+    Returns ``(first_rows, inverse)``: ``first_rows[g]`` is the row index
+    of group ``g``'s first occurrence and ``inverse[i]`` is row ``i``'s
+    group id. Groups are numbered in lexicographic key order (like
+    ``np.unique(..., axis=0)``), or, with ``first_occurrence``, in the
+    order a row-wise engine first meets each key (``first_rows`` is then
+    strictly ascending).
+    """
+    n = len(columns[0]) if columns else 0
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    order, starts, inverse = _dense_ids(_pack_columns(columns))
+    first_rows = np.minimum.reduceat(order, starts)
+    if not first_occurrence:
+        return first_rows, inverse
+    # Number groups by the rank of their first row: a prefix count over
+    # the rows that open a group, read at each group's first row.
+    opens = np.zeros(n, dtype=bool)
+    opens[first_rows] = True
+    rank = np.cumsum(opens) - 1
+    return np.flatnonzero(opens), rank[first_rows][inverse]
+
+
+def _int64_columns(state: ColumnarState, keys: Sequence[str]) -> list[np.ndarray]:
+    return [state.columns[k].astype(np.int64, copy=False) for k in keys]
+
+
 def group_keys(
     state: ColumnarState, keys: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Group rows by key columns; returns (unique key columns, inverse)."""
+    """Group rows by key columns; returns (unique key columns, inverse).
+
+    Unique keys are in sorted (lexicographic) order; float columns group
+    by their int64 cast, as the register key matrix does.
+    """
     if state.n_rows == 0:
         return {k: state.columns[k][:0] for k in keys}, np.empty(0, dtype=np.int64)
-    stacked = np.stack(
-        [state.columns[k].astype(np.int64) for k in keys], axis=1
-    )
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    columns = _int64_columns(state, keys)
+    first_rows, inverse = group_rows(columns)
     unique_cols = {
-        k: unique[:, i].astype(state.columns[k].dtype) for i, k in enumerate(keys)
+        k: columns[i][first_rows].astype(state.columns[k].dtype)
+        for i, k in enumerate(keys)
     }
-    return unique_cols, inverse.ravel()
+    return unique_cols, inverse
 
 
 def group_first_occurrence(
@@ -164,17 +250,10 @@ def group_first_occurrence(
     if state.n_rows == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty((0, len(keys)), dtype=np.int64), empty, empty
-    stacked = np.stack(
-        [state.columns[k].astype(np.int64) for k in keys], axis=1
-    )
-    unique, first_idx, inverse = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.ravel()
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return unique[order], first_idx[order], rank[inverse]
+    columns = _int64_columns(state, keys)
+    first_rows, inverse = group_rows(columns, first_occurrence=True)
+    unique = np.stack([c[first_rows] for c in columns], axis=1)
+    return unique, first_rows, inverse
 
 
 def apply_reduce(

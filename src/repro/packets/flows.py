@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.exec.kernels import group_rows
 from repro.packets.trace import Trace
 from repro.utils.iputil import format_ip
 
@@ -51,18 +52,12 @@ def aggregate_flows(trace: Trace) -> list[FlowRecord]:
     if len(trace) == 0:
         return []
     array = trace.array
-    keys = np.stack(
-        [
-            array["sip"].astype(np.int64),
-            array["dip"].astype(np.int64),
-            array["proto"].astype(np.int64),
-            array["sport"].astype(np.int64),
-            array["dport"].astype(np.int64),
-        ],
-        axis=1,
-    )
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    keys = [
+        array[name].astype(np.int64)
+        for name in ("sip", "dip", "proto", "sport", "dport")
+    ]
+    first_rows, inverse = group_rows(keys)
+    unique = np.stack([column[first_rows] for column in keys], axis=1)
     n = len(unique)
 
     packets = np.bincount(inverse, minlength=n)

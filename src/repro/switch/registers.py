@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.errors import ResourceExhaustedError
 from repro.exec.alu import MERGE_FUNCS, UPDATE_FUNCS
+from repro.exec.kernels import group_rows
 from repro.utils.hashing import HashFamily
 
 #: ALU update functions a PISA stage supports for register values
@@ -137,9 +138,8 @@ class RegisterChain:
             if not len(remaining):
                 break
             slots = index_matrix[remaining, which]
-            # First occurrence per slot wins it (np.unique returns the
-            # index of each unique value's first appearance).
-            _, first = np.unique(slots, return_index=True)
+            # First occurrence per slot wins it.
+            first, _ = group_rows([slots])
             winners = remaining[first]
             inserted[winners] = True
             array_idx[winners] = which

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
@@ -139,6 +140,29 @@ class InstalledInstance:
 
     def metadata_bits(self) -> int:
         return self.compiled.metadata_bits(self.n_operators)
+
+    @cached_property
+    def columns_read(self) -> tuple[str, ...]:
+        """Every column the on-switch operators read, in first-use order.
+
+        Operator inputs, each distinct's effective keys, each reduce's
+        resolved value field and, for a stateless last operator, the
+        mirrored schema. Resolved on first use (not at install) so an
+        ambiguous reduce still fails where it always has, at execution.
+        """
+        schemas = self.compiled.schemas
+        names: list[str] = []
+        for i, op in enumerate(self.compiled.subquery.operators[: self.n_operators]):
+            names.extend(op.input_fields())
+            if isinstance(op, Distinct):
+                names.extend(op.effective_keys(schemas[i]))
+            elif isinstance(op, Reduce):
+                value_field = op.resolved_value_field(schemas[i])
+                if value_field is not None:
+                    names.append(value_field)
+        if not self.last_op_stateful:
+            names.extend(schemas[self.n_operators].fields)
+        return tuple(dict.fromkeys(names))
 
 
 class PISASwitch:
@@ -649,6 +673,8 @@ class PISASwitch:
         inst.packets_seen += len(rows)
         ops = inst.compiled.subquery.operators[: inst.n_operators]
         schemas = inst.compiled.schemas
+        # Filters copy every column they keep, so carry only the ones read.
+        state = state.project(inst.columns_read)
         sel = rows
         i = 0
         while i < len(ops):
